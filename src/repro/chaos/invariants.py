@@ -360,9 +360,10 @@ def check_reverse_indexes(svc) -> list[str]:
 
     Rebuilds each index from scratch out of the entities/stripes dicts and
     diffs it against the incrementally-maintained one — any divergence
-    means some mutation path bypassed the index-update hooks.  Also
-    cross-checks the spatial index's cached per-server load against its
-    brute-force scan.
+    means some mutation path bypassed the index-update hooks.  The
+    per-group byte totals (``group_bytes``) and reference-counter tallies
+    (``replicated_refs``) are summed again from every entity and stripe.  Also cross-checks the spatial index's cached
+    per-server load against its brute-force scan.
     """
     problems = []
     d = svc.directory
@@ -380,11 +381,23 @@ def check_reverse_indexes(svc) -> list[str]:
     exp_primary: dict[int, set] = {}
     exp_state: dict[ResilienceState, set] = {s: set() for s in ResilienceState}
     exp_replicas: dict[int, set] = {}
+    exp_replicated: dict[int, set] = {}
+    exp_refs: dict[int, dict[int, int]] = {}
+    exp_bytes: dict[int, list[int]] = {}
     for key, ent in d.entities.items():
         exp_primary.setdefault(ent.primary, set()).add(key)
         exp_state[ent.state].add(key)
         for r in ent.replicas:
             exp_replicas.setdefault(r, set()).add(key)
+        gid = d.group_of(ent.primary)
+        if ent.state == ResilienceState.REPLICATED:
+            exp_replicated.setdefault(gid, set()).add(key)
+            refs = exp_refs.setdefault(gid, {})
+            refs[ent.ref_counter] = refs.get(ent.ref_counter, 0) + 1
+        charge = exp_bytes.setdefault(gid, [0, 0, 0])
+        if ent.version >= 0:
+            charge[0] += ent.nbytes
+        charge[1] += ent.replica_bytes_accounted
     # Drop empty sets on both sides: an index legitimately keeps an empty
     # set for a server whose last entity moved away.
     diff(
@@ -402,6 +415,11 @@ def check_reverse_indexes(svc) -> list[str]:
         {k: v for k, v in d.replicas_by_server.items() if v},
         exp_replicas,
     )
+    diff(
+        "replicated_by_group",
+        {k: v for k, v in d.replicated_by_group.items() if v},
+        exp_replicated,
+    )
 
     exp_stripes: dict[int, set[int]] = {}
     exp_vacant: dict[int, set[int]] = {}
@@ -410,6 +428,7 @@ def check_reverse_indexes(svc) -> list[str]:
             exp_stripes.setdefault(srv, set()).add(sid)
         if stripe.vacant_slots():
             exp_vacant.setdefault(stripe.group_id, set()).add(sid)
+        exp_bytes.setdefault(stripe.group_id, [0, 0, 0])[2] += stripe.m * stripe.shard_len
         if stripe._dir is not d:
             problems.append(f"stripe {sid}: directory back-reference not set")
     diff(
@@ -422,6 +441,22 @@ def check_reverse_indexes(svc) -> list[str]:
         {k: v for k, v in d.vacant_by_group.items() if v},
         exp_vacant,
     )
+    for gid in sorted(set(d.replicated_refs) | set(exp_refs)):
+        got_refs = d.replicated_refs.get(gid, {})
+        want_refs = exp_refs.get(gid, {})
+        if got_refs != want_refs:
+            problems.append(
+                f"replicated_refs[{gid}]: maintained {sorted(got_refs.items())} != "
+                f"rebuilt {sorted(want_refs.items())}"
+            )
+    for gid in sorted(set(d.group_bytes) | set(exp_bytes)):
+        got = list(d.group_bytes.get(gid, [0, 0, 0]))
+        want = exp_bytes.get(gid, [0, 0, 0])
+        if got != want:
+            problems.append(
+                f"group_bytes[{gid}]: maintained {got} != rebuilt {want} "
+                f"(original, replica, parity)"
+            )
 
     for key, ent in d.entities.items():
         if ent._dir is not d:

@@ -194,23 +194,12 @@ class CoRECPolicy(ResiliencePolicy):
     def _group_storage(self, gid: int) -> tuple[int, int, int]:
         """(original, replica, parity) bytes attributable to one group.
 
-        Computed from the directory's reverse indexes, so a shard that
-        holds only this group's records computes exactly what a full
-        directory would: entities charge their coding group (redirects
-        never cross groups), stripes carry their group id.
+        Read from the directory's ``group_bytes`` index, so a shard that
+        holds only this group's records sees exactly what a full directory
+        would: entities charge their coding group (redirects never cross
+        groups), stripes carry their group id.
         """
-        d = self.rt.directory
-        original = replica = parity = 0
-        for sid in self.rt.layout.coding_group_members(gid):
-            for key in d.entities_by_primary.get(sid, ()):
-                e = d.entities[key]
-                if e.version >= 0:
-                    original += e.nbytes
-                replica += e.replica_bytes_accounted
-        for stripe in d.stripes.values():
-            if stripe.group_id == gid:
-                parity += stripe.m * stripe.shard_len
-        return original, replica, parity
+        return tuple(self.rt.directory.group_bytes.get(gid, (0, 0, 0)))
 
     def _group_efficiency(self, gid: int, d_replica: int = 0) -> float:
         original, replica, parity = self._group_storage(gid)
@@ -238,37 +227,33 @@ class CoRECPolicy(ResiliencePolicy):
         step: int | None = None,
         group: int | None = None,
     ) -> BlockEntity | None:
-        best: BlockEntity | None = None
-        # The state set holds exactly the replicated entities, in directory
-        # insertion order — the same candidates (and tie-breaks) the old
-        # whole-directory walk produced, at O(replicated) cost.
-        for ent in self.rt.directory.entities_in_state(ResilienceState.REPLICATED):
-            if ent.transition_in_flight:
-                continue
-            if group is not None and self._group_of(ent) != group:
-                continue
-            if exclude_hot and step is not None and self.classifier.is_hot(ent.key, step):
-                continue
-            if best is None or (ent.ref_counter, ent.last_write_step, ent.block_id) < (
-                best.ref_counter,
-                best.last_write_step,
-                best.block_id,
-            ):
-                best = ent
-        return best
+        """The replicated entity with the lowest access frequency.
 
-    def _hottest_encoded(self, exclude: set | None = None) -> BlockEntity | None:
+        Candidates come from the directory's REPLICATED set (global scope)
+        or its per-group REPLICATED index, so the cost is O(candidates)
+        whatever else is staged.  Ties on (ref_counter, last_write_step,
+        block_id) go to the lowest ``seq``, i.e. the entity a walk in
+        directory insertion order meets first.
+        """
+        d = self.rt.directory
+        if group is None:
+            keys = d.entities_by_state[ResilienceState.REPLICATED]
+        else:
+            keys = d.replicated_by_group.get(group, ())
+        d.op_stats["entity_touches"] += len(keys)
+        check_hot = exclude_hot and step is not None
         best: BlockEntity | None = None
-        for ent in self.rt.directory.entities_in_state(ResilienceState.ENCODED):
+        best_rank = None
+        for key in keys:
+            ent = d.entities[key]
             if ent.transition_in_flight:
                 continue
-            if exclude and ent.key in exclude:
+            rank = (ent.ref_counter, ent.last_write_step, ent.block_id, ent.seq)
+            if best_rank is not None and rank >= best_rank:
                 continue
-            if best is None or (ent.ref_counter, ent.last_write_step) > (
-                best.ref_counter,
-                best.last_write_step,
-            ):
-                best = ent
+            if check_hot and self.classifier.is_hot(key, step):
+                continue
+            best, best_rank = ent, rank
         return best
 
     # ------------------------------------------------------------------
@@ -342,15 +327,20 @@ class CoRECPolicy(ResiliencePolicy):
             if ent.state != ResilienceState.ENCODED:
                 return
             if not self._has_headroom(ent):
+                # A swap must be clearly profitable: demanding a minimum
+                # access-frequency gap prevents ping-pong between equally
+                # hot objects (the uniform-hotness regime of case 1).
+                # No victim is colder than the scope's lowest counter, so
+                # when even that one misses the gap the search is skipped.
                 scope_gid = (
                     self._group_of(ent)
                     if self.config.enforcement_scope == "group"
                     else None
                 )
+                floor = rt.directory.min_replicated_ref(scope_gid)
+                if floor is None or floor + self.config.swap_ref_margin > ent.ref_counter:
+                    return
                 victim = self._coldest_replicated(group=scope_gid)
-                # A swap must be clearly profitable: demanding a minimum
-                # access-frequency gap prevents ping-pong between equally
-                # hot objects (the uniform-hotness regime of case 1).
                 if victim is None or (
                     victim.ref_counter + self.config.swap_ref_margin > ent.ref_counter
                 ):

@@ -183,12 +183,7 @@ class StagingRuntime:
             yield from self.busy(owner, self.costs.metadata_op_s, "metadata")
         self.metrics.count("metadata_updates")
 
-    def compute(
-        self,
-        fn: Callable[[], object],
-        exclusive: bool = True,
-        category: str = "codec",
-    ) -> Generator:
+    def compute(self, fn: Callable[[], object], category: str = "codec") -> Generator:
         """Run host-side numeric work (``yield from`` this at a yield point).
 
         On the simulator this is a plain call — the generator completes
@@ -197,21 +192,16 @@ class StagingRuntime:
         backend ``compute_offload`` is installed and the work runs on a
         worker thread, keeping GF(2^8) kernel passes off the event loop.
         Only legal where the calling flow may yield; atomic (no-yield)
-        mutation sections must keep their numeric work inline.
-
-        ``exclusive=True`` (the default) marks work that mutates shared
-        state without its own locking and must be serialized across
-        worker threads.  The codec layer (decode-matrix cache, coding
-        batch, scratch pools) is thread-safe, so every coding path passes
-        ``exclusive=False`` and runs fully in parallel; ``exclusive``
-        remains the safe default for new call sites.
+        mutation sections must keep their numeric work inline.  The codec
+        layer (decode-matrix cache, coding batch, scratch pools) is
+        thread-safe, so offloaded passes run fully in parallel.
 
         ``category`` names the attribution bucket the live backend
         charges the offload wait to ("codec" for kernel passes, "digest"
         for payload hashing); the simulator ignores it.
         """
         if self.compute_offload is not None:
-            result = yield self.compute_offload(fn, exclusive, category)
+            result = yield self.compute_offload(fn, category)
             return result
         return fn()
 
@@ -621,7 +611,7 @@ class StagingRuntime:
         if self.tracer.enabled:
             calls0 = GF256.KERNEL_STATS["matmul_calls"]
         parities = yield from self.compute(
-            lambda: self._encode_stripe(payloads), exclusive=False
+            lambda: self._encode_stripe(payloads)
         )
         if self.tracer.enabled:
             self.tracer.annotate(
@@ -1021,7 +1011,7 @@ class StagingRuntime:
             exec_sid, self.costs.encode_cost(stripe.k, stripe.m, stripe.shard_len), "encode"
         )
         parities = yield from self.compute(
-            lambda: self._encode_stripe(shards), exclusive=False
+            lambda: self._encode_stripe(shards)
         )
         staged: list[tuple[StagingServer, str, np.ndarray]] = []
         for i, parity in enumerate(parities):
@@ -1380,7 +1370,7 @@ class StagingRuntime:
             hits0, misses0 = code.decode_cache_hits, code.decode_cache_misses
             calls0 = GF256.KERNEL_STATS["matmul_calls"]
         payload = yield from self.compute(
-            lambda: code.reconstruct_shard(present, target_idx), exclusive=False
+            lambda: code.reconstruct_shard(present, target_idx)
         )
         if self.tracer.enabled:
             self.tracer.annotate(

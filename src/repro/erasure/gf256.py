@@ -45,6 +45,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.obs.registry import StatCounters
+
 __all__ = ["GF256"]
 
 _PRIMITIVE_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
@@ -145,7 +147,10 @@ class GF256:
     # Observability for tests and benchmarks: every fused matrix-kernel
     # pass increments ``matmul_calls`` (so e.g. single-shard reconstruction
     # can assert it ran exactly one pass) and the per-kernel counter.
-    KERNEL_STATS: dict[str, int] = {"matmul_calls": 0}
+    # Codec-pool threads run passes concurrently, so the counters are
+    # lock-guarded.  Delta updates (:meth:`addmul_bytes`) are not passes
+    # and are not counted.
+    KERNEL_STATS = StatCounters(("matmul_calls",))
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -223,14 +228,31 @@ class GF256:
     def addmul_bytes(cls, acc: np.ndarray, c: int, buf: np.ndarray) -> None:
         """In-place ``acc ^= c * buf`` — the fused scalar-coefficient kernel.
 
-        The product is gathered through a reused row view of ``MUL`` into a
-        module-level scratch buffer, so the steady state allocates nothing.
+        With the native kernel loaded and both buffers contiguous uint8 of
+        one shape, this is a 1x1 native matrix pass.  Otherwise the product
+        is gathered through a reused row view of ``MUL`` into a per-thread
+        scratch buffer, so the steady state allocates nothing.
         """
         c &= 0xFF
         if c == 0:
             return
+        nat = cls._NATIVE
         if c == 1:
             np.bitwise_xor(acc, buf, out=acc)
+        elif (
+            nat is not None
+            and acc.dtype == np.uint8
+            and buf.dtype == np.uint8
+            and acc.shape == buf.shape
+            and acc.flags.c_contiguous
+            and buf.flags.c_contiguous
+        ):
+            nat.matmul_ptrs(
+                np.array([[c]], dtype=np.uint8),
+                (ctypes.c_void_p * 1)(buf.ctypes.data),
+                (ctypes.c_void_p * 1)(acc.ctypes.data),
+                buf.size,
+            )
         else:
             tmp = _scratch("addmul", buf.size, np.uint8).reshape(buf.shape)
             np.take(cls.MUL[c], buf, out=tmp, mode="clip")
@@ -565,8 +587,7 @@ class GF256:
 
     @classmethod
     def reset_kernel_stats(cls) -> None:
-        for key in cls.KERNEL_STATS:
-            cls.KERNEL_STATS[key] = 0
+        cls.KERNEL_STATS.reset()
 
     @classmethod
     def matmul_rows(
@@ -601,8 +622,8 @@ class GF256:
         if length <= 0 or not shard_rows:
             return
         mat = np.ascontiguousarray(mat, dtype=np.uint8)
-        cls.KERNEL_STATS["matmul_calls"] += 1
-        cls.KERNEL_STATS["native"] = cls.KERNEL_STATS.get("native", 0) + 1
+        cls.KERNEL_STATS.inc("matmul_calls")
+        cls.KERNEL_STATS.inc("native")
         nat.matmul_ptrs(
             mat,
             nat.row_ptrs(shard_rows, offset),
@@ -654,8 +675,8 @@ class GF256:
         else:
             size_class = "small" if length < cls.SMALL_SHARD_CUTOFF else "large"
             name = cls._SELECTED[size_class]
-        cls.KERNEL_STATS["matmul_calls"] += 1
-        cls.KERNEL_STATS[name] = cls.KERNEL_STATS.get(name, 0) + 1
+        cls.KERNEL_STATS.inc("matmul_calls")
+        cls.KERNEL_STATS.inc(name)
         cls._KERNELS[name].__get__(None, cls)(mat, shards, out)
         return out
 

@@ -15,15 +15,12 @@ coding batch, thread-local scratch pools), so concurrent offloads
 genuinely overlap.  On top of that, each offloaded kernel pass is
 stripe-parallel — ``RSCode.parallel_map`` is wired to
 :meth:`LiveEngine.codec_map`, which fans the pass's column splits across
-a dedicated codec worker pool.  The ``exclusive`` offload lock still
-exists for any future work that mutates truly shared scratch state, but
-no codec path needs it anymore.
+a dedicated codec worker pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Any
 
 import numpy as np
@@ -70,7 +67,6 @@ class LiveStagingService:
         if self.tracer is None:
             self.tracer = self.service.tracer  # NULL_TRACER
         self.engine.tracer = self.tracer
-        self._codec_lock = threading.Lock()
         if offload_compute:
             self.service.runtime.compute_offload = self._offload_compute
         if parallel_codec:
@@ -104,19 +100,8 @@ class LiveStagingService:
         reg.gauge("live.loop.lag_last_s", lambda: engine.loop_lag_s)
         reg.gauge("live.loop.lag_max_s", lambda: engine.loop_lag_max_s)
 
-    def _offload_compute(self, fn, exclusive: bool = True, category: str = "codec"):
-        if not exclusive:
-            return self.engine.offload(fn, charge=category)
-
-        # ``exclusive`` work mutates shared scratch state that is not
-        # thread-safe.  No codec path is marked exclusive anymore (the
-        # codec layer carries its own locks and thread-local scratch);
-        # the lock remains for anything that still needs serialization.
-        def locked():
-            with self._codec_lock:
-                return fn()
-
-        return self.engine.offload(locked, charge=category)
+    def _offload_compute(self, fn, category: str = "codec"):
+        return self.engine.offload(fn, charge=category)
 
     # ------------------------------------------------------------------
     # convenience passthroughs

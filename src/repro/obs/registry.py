@@ -93,6 +93,12 @@ class StatCounters(Mapping):
         with self._lock:
             return dict(self._values)
 
+    def reset(self) -> None:
+        """Zero every counter (names stay registered)."""
+        with self._lock:
+            for name in self._values:
+                self._values[name] = 0
+
     def register_gauges(self, registry: "MetricsRegistry", prefix: str) -> None:
         """Expose every counter as ``<prefix>.<name>`` callback gauges."""
         for name in self._values:

@@ -37,14 +37,29 @@ class MetadataDirectory:
     - ``stripes_by_server``: server id -> stripe ids with any shard slot
       (including vacant placeholders) targeted at that server;
     - ``vacant_by_group``: coding-group id -> stripe ids with >=1 vacant
-      data slot (the free list refills and compaction consume).
+      data slot (the free list refills and compaction consume);
+    - ``group_bytes``: coding-group id -> ``[original, replica, parity]``
+      bytes charged to that group (the group-scoped storage bound reads
+      it instead of summing the group's records);
+    - ``replicated_by_group``: coding-group id -> keys of its REPLICATED
+      entities (the group's demotion candidates);
+    - ``replicated_refs``: coding-group id -> ``{ref_counter: count}``
+      over those same entities, so the lowest access frequency among a
+      group's candidates is known without walking them.
+
+    Entities are charged to the coding group of their primary: original =
+    ``nbytes`` once written (``version >= 0``), replica =
+    ``replica_bytes_accounted``.  Stripes charge ``m * shard_len`` parity
+    bytes to their ``group_id``.  Without a layout every entity charges
+    the pseudo-group ``-1``.
 
     The indexes are updated transactionally with every mutation:
-    ``BlockEntity.__setattr__`` notifies on primary/state/replicas writes,
-    and ``StripeInfo``'s mutation methods notify on shard placement
-    changes.  ``op_stats`` counts index-path record touches and remaining
-    full-directory walks so complexity bounds can be asserted from
-    operation counts rather than wall-clock time.
+    ``BlockEntity.__setattr__`` notifies on primary/state/replicas,
+    ``ref_counter`` and byte-count writes, and ``StripeInfo``'s mutation
+    methods notify on shard placement changes.  ``op_stats`` counts
+    index-path record touches and remaining full-directory walks so
+    complexity bounds can be asserted from operation counts rather than
+    wall-clock time.
     """
 
     def __init__(self, domain: Domain, n_servers: int, layout=None):
@@ -63,6 +78,12 @@ class MetadataDirectory:
         self.replicas_by_server: dict[int, set[tuple[str, int]]] = {}
         self.stripes_by_server: dict[int, set[int]] = {}
         self.vacant_by_group: dict[int, set[int]] = {}
+        self.group_bytes: dict[int, list[int]] = {}
+        self.replicated_by_group: dict[int, set[tuple[str, int]]] = {}
+        self.replicated_refs: dict[int, dict[int, int]] = {}
+        # Per-entity charge currently booked in ``group_bytes``:
+        # key -> (group id, original bytes, replica bytes).
+        self._charges: dict[tuple[str, int], tuple[int, int, int]] = {}
         # Plain-int operation counters (exported as registry gauges so they
         # never enter ``Metrics.counters`` and cannot perturb golden runs).
         self.op_stats = {"entity_touches": 0, "stripe_touches": 0, "full_scans": 0}
@@ -88,9 +109,14 @@ class MetadataDirectory:
             self.entities[key] = ent
             self.entities_by_primary.setdefault(ent.primary, set()).add(key)
             self.entities_by_state[ent.state].add(key)
+            self._charge(ent)
             ent._dir = self  # from here on, mutations notify the indexes
             self.op_stats["entity_touches"] += 1
         return ent
+
+    def group_of(self, primary: int) -> int:
+        """Coding group an entity with this primary is charged to."""
+        return self.layout.coding_group_id(primary) if self.layout is not None else -1
 
     def get(self, name: str, block_id: int) -> BlockEntity | None:
         return self.entities.get((name, block_id))
@@ -141,6 +167,7 @@ class MetadataDirectory:
             self.stripes_by_server.setdefault(srv, set()).add(stripe.stripe_id)
         if stripe.vacant_slots():
             self.vacant_by_group.setdefault(stripe.group_id, set()).add(stripe.stripe_id)
+        self.group_bytes.setdefault(stripe.group_id, [0, 0, 0])[2] += stripe.m * stripe.shard_len
         stripe._dir = self
         self.op_stats["stripe_touches"] += 1
 
@@ -152,27 +179,80 @@ class MetadataDirectory:
         for srv in set(stripe.shard_servers):
             self.stripes_by_server.get(srv, set()).discard(stripe_id)
         self.vacant_by_group.get(stripe.group_id, set()).discard(stripe_id)
+        self.group_bytes[stripe.group_id][2] -= stripe.m * stripe.shard_len
         self.op_stats["stripe_touches"] += 1
 
     # ------------------------------------------------------------------
     # index-maintenance notifications (called from the object layer)
     # ------------------------------------------------------------------
+    def _charge(self, ent: BlockEntity) -> None:
+        """Book ``ent``'s current bytes in ``group_bytes`` (replacing its
+        previous charge)."""
+        new = (
+            self.group_of(ent.primary),
+            ent.nbytes if ent.version >= 0 else 0,
+            ent.replica_bytes_accounted,
+        )
+        old = self._charges.get(ent.key)
+        if old == new:
+            return
+        if old is not None:
+            b = self.group_bytes[old[0]]
+            b[0] -= old[1]
+            b[1] -= old[2]
+        b = self.group_bytes.setdefault(new[0], [0, 0, 0])
+        b[0] += new[1]
+        b[1] += new[2]
+        self._charges[ent.key] = new
+
+    def _count_ref(self, gid: int, ref: int, n: int) -> None:
+        refs = self.replicated_refs.setdefault(gid, {})
+        count = refs.get(ref, 0) + n
+        if count:
+            refs[ref] = count
+        else:
+            del refs[ref]
+
+    def _replicated_join(self, ent: BlockEntity, gid: int) -> None:
+        self.replicated_by_group.setdefault(gid, set()).add(ent.key)
+        self._count_ref(gid, ent.ref_counter, 1)
+
+    def _replicated_leave(self, ent: BlockEntity, gid: int) -> None:
+        self.replicated_by_group[gid].discard(ent.key)
+        self._count_ref(gid, ent.ref_counter, -1)
+
     def _entity_index_update(self, ent: BlockEntity, attr: str, old, new) -> None:
         key = ent.key
+        replicated = ent.state == ResilienceState.REPLICATED
         if attr == "primary":
             if old != new:
                 self.entities_by_primary.get(old, set()).discard(key)
                 self.entities_by_primary.setdefault(new, set()).add(key)
+                if replicated:
+                    self._replicated_leave(ent, self.group_of(old))
+                    self._replicated_join(ent, self.group_of(new))
+                self._charge(ent)
         elif attr == "state":
             if old != new:
                 self.entities_by_state[old].discard(key)
                 self.entities_by_state[new].add(key)
-        else:  # replicas
+                if old == ResilienceState.REPLICATED:
+                    self._replicated_leave(ent, self.group_of(ent.primary))
+                elif replicated:
+                    self._replicated_join(ent, self.group_of(ent.primary))
+        elif attr == "replicas":
             old_set, new_set = set(old or ()), set(new or ())
             for srv in old_set - new_set:
                 self.replicas_by_server.get(srv, set()).discard(key)
             for srv in new_set - old_set:
                 self.replicas_by_server.setdefault(srv, set()).add(key)
+        elif attr == "ref_counter":
+            if replicated and old != new:
+                gid = self.group_of(ent.primary)
+                self._count_ref(gid, old, -1)
+                self._count_ref(gid, new, 1)
+        else:  # nbytes / version / replica_bytes_accounted
+            self._charge(ent)
         self.op_stats["entity_touches"] += 1
 
     def _stripe_retargeted(self, stripe: StripeInfo, old: int, new: int) -> None:
@@ -221,6 +301,18 @@ class MetadataDirectory:
         ids = self.stripes_by_server.get(server_id, ())
         self.op_stats["stripe_touches"] += len(ids)
         return [self.stripes[sid] for sid in sorted(ids)]
+
+    def min_replicated_ref(self, group_id: int | None = None) -> int | None:
+        """Lowest ``ref_counter`` among REPLICATED entities (of one coding
+        group, or of all with ``None``); None when there are none.
+
+        Transitions in flight are included, so this is a lower bound on
+        what a victim search that skips them can find.
+        """
+        if group_id is not None:
+            refs = self.replicated_refs.get(group_id)
+            return min(refs) if refs else None
+        return min((min(r) for r in self.replicated_refs.values() if r), default=None)
 
     def vacant_stripes(self, group_id: int) -> list[StripeInfo]:
         """Stripes of one coding group with >=1 vacant data slot (id order)."""

@@ -218,10 +218,16 @@ class BlockEntity:
     seq: int = -1                 # directory insertion order (stable sort key)
 
     # Back-reference to the owning MetadataDirectory (set by
-    # ``get_or_create``); placement/state writes notify it so the reverse
-    # indexes track every mutation, wherever it happens.
+    # ``get_or_create``); placement/state/access-count/byte-count writes
+    # notify it so the reverse indexes track every mutation, wherever it
+    # happens.
     _dir = None
-    _indexed_attrs = frozenset(("primary", "state", "replicas"))
+    _indexed_attrs = frozenset(
+        (
+            "primary", "state", "replicas", "ref_counter",
+            "nbytes", "version", "replica_bytes_accounted",
+        )
+    )
 
     def __setattr__(self, name: str, value) -> None:
         d = self._dir

@@ -317,7 +317,7 @@ class StagingService:
         # the hash off the event loop.  The entity lock is held, so the
         # write is still recorded before any later op on this entity.
         digest = yield from self.runtime.compute(
-            lambda: payload_digest(payload), exclusive=False, category="digest"
+            lambda: payload_digest(payload), category="digest"
         )
         ent.record_write(self.sim.now, self.step, int(payload.size), digest)
         self.metrics.storage.original += int(payload.size) - prev_bytes
@@ -410,7 +410,7 @@ class StagingService:
         )
         if verify:
             digest = yield from self.runtime.compute(
-                lambda: payload_digest(payload), exclusive=False, category="digest"
+                lambda: payload_digest(payload), category="digest"
             )
             if digest != ent.digest:
                 self.read_errors += 1

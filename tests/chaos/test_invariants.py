@@ -266,3 +266,33 @@ class TestDigestAudit:
             if v.invariant == "digest_audit"
         ]
         assert found and f"{ent.name}/{ent.block_id}" in found[0].detail
+
+
+class TestGroupIndexAudit:
+    def test_stale_group_bytes_flagged(self):
+        svc = quiesced_service()
+        d = svc.directory
+        gid = next(iter(d.group_bytes))
+        d.group_bytes[gid][1] += 7
+        found = violations_of(svc, "reverse_indexes")
+        assert found and "group_bytes" in found[0].detail
+
+    def test_stale_replicated_by_group_flagged(self):
+        svc = quiesced_service()
+        d = svc.directory
+        ent = next(
+            e for e in d.entities.values() if e.state != ResilienceState.REPLICATED
+        )
+        d.replicated_by_group.setdefault(d.group_of(ent.primary), set()).add(ent.key)
+        found = violations_of(svc, "reverse_indexes")
+        assert found and "replicated_by_group" in found[0].detail
+
+    def test_bypassed_ref_counter_hook_flagged(self):
+        svc = quiesced_service()
+        ent = next(
+            e for e in svc.directory.entities.values()
+            if e.state == ResilienceState.REPLICATED
+        )
+        object.__setattr__(ent, "ref_counter", ent.ref_counter + 5)
+        found = violations_of(svc, "reverse_indexes")
+        assert found and "replicated_refs" in found[0].detail

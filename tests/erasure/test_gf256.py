@@ -270,3 +270,117 @@ class TestKernelStats:
         GF256.matmul_bytes(np.zeros((0, 3), np.uint8), np.zeros((3, 8), np.uint8))
         GF256.matmul_bytes(np.zeros((2, 3), np.uint8), np.zeros((3, 0), np.uint8))
         assert GF256.KERNEL_STATS["matmul_calls"] == 0
+
+    def test_delta_updates_do_not_count(self):
+        acc = np.zeros(4096, np.uint8)
+        buf = np.arange(4096, dtype=np.uint32).astype(np.uint8)
+        GF256.reset_kernel_stats()
+        for c in (1, 2, 255):
+            GF256.addmul_bytes(acc, c, buf)
+        assert GF256.KERNEL_STATS["matmul_calls"] == 0
+
+    @pytest.mark.skipif(GF256.native_kernel() is None, reason="native kernel unavailable")
+    def test_concurrent_passes_lose_no_increments(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(31)
+        mat = rng.integers(1, 256, (1, 2), dtype=np.uint8)
+        rows = [rng.integers(0, 256, 64, dtype=np.uint8) for _ in range(2)]
+        threads, per_thread = 8, 400
+
+        def worker(_):
+            out = [np.zeros(64, np.uint8)]
+            for _ in range(per_thread):
+                GF256.matmul_rows(mat, rows, out)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches mid-increment
+        GF256.reset_kernel_stats()
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(worker, range(threads)))
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert GF256.KERNEL_STATS["matmul_calls"] == threads * per_thread
+        assert GF256.KERNEL_STATS["native"] == threads * per_thread
+
+
+def _addmul_reference(acc: np.ndarray, c: int, buf: np.ndarray) -> np.ndarray:
+    return acc ^ GF256.MUL[c][buf]
+
+
+class _SpyKernel:
+    """Wraps the native kernel handle and counts its matrix passes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def matmul_ptrs(self, *args):
+        self.calls += 1
+        return self.inner.matmul_ptrs(*args)
+
+
+class TestAddmulBytes:
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        nat = GF256.native_kernel()
+        if nat is None:
+            pytest.skip("native kernel unavailable")
+        spy = _SpyKernel(nat)
+        monkeypatch.setattr(GF256, "_NATIVE", spy)
+        return spy
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 255])
+    @pytest.mark.parametrize("length", [1, 3, 31, 33, 4097, 65537])
+    def test_native_matches_table(self, spy, c, length):
+        rng = np.random.default_rng(length * 256 + c)
+        acc = rng.integers(0, 256, length, dtype=np.uint8)
+        buf = rng.integers(0, 256, length, dtype=np.uint8)
+        want = _addmul_reference(acc, c, buf)
+        GF256.addmul_bytes(acc, c, buf)
+        assert np.array_equal(acc, want)
+        # c = 0 is a no-op and c = 1 a plain XOR; every other
+        # coefficient is one native 1x1 pass.
+        assert spy.calls == (1 if c >= 2 else 0)
+
+    @pytest.mark.parametrize("c", [2, 255])
+    def test_non_contiguous_input_falls_back(self, spy, c):
+        rng = np.random.default_rng(c)
+        acc = rng.integers(0, 256, 1001, dtype=np.uint8)
+        wide = rng.integers(0, 256, 2002, dtype=np.uint8)
+        buf = wide[::2]
+        want = _addmul_reference(acc, c, buf)
+        GF256.addmul_bytes(acc, c, buf)
+        assert np.array_equal(acc, want)
+        strided_acc = np.zeros(2002, np.uint8)[::2]
+        GF256.addmul_bytes(strided_acc, c, buf)
+        assert np.array_equal(strided_acc, GF256.MUL[c][buf])
+        assert spy.calls == 0
+
+    def test_numpy_fallback_without_native_kernel(self):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import numpy as np\n"
+            "from repro.erasure.gf256 import GF256\n"
+            "assert GF256.native_kernel() is None\n"
+            "rng = np.random.default_rng(5)\n"
+            "for c in (0, 1, 2, 255):\n"
+            "    for n in (1, 3, 33, 4097):\n"
+            "        acc = rng.integers(0, 256, n, dtype=np.uint8)\n"
+            "        buf = rng.integers(0, 256, n, dtype=np.uint8)\n"
+            "        want = acc ^ GF256.MUL[c][buf]\n"
+            "        GF256.addmul_bytes(acc, c, buf)\n"
+            "        assert np.array_equal(acc, want), (c, n)\n"
+        )
+        env = dict(os.environ, REPRO_GF_NATIVE="0", REPRO_GF_AUTOTUNE="0")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -209,3 +209,96 @@ class TestStorageBreakdown:
         d = make_dir()
         d.get_or_create("v", 0, 0)
         assert d.storage_breakdown()["original"] == 0
+
+
+def make_grouped_dir():
+    """A directory with the small test deployment's layout: coding groups
+    {0, 2, 4, 6} (id 0) and {1, 3, 5, 7} (id 1)."""
+    from repro.staging.service import build_geometry
+
+    from tests.conftest import small_config
+
+    _, domain, _, layout = build_geometry(small_config())
+    return MetadataDirectory(domain, layout.n_servers, layout=layout)
+
+
+class TestGroupIndexes:
+    def test_without_layout_everything_charges_group_minus_one(self):
+        d = make_dir()
+        d.get_or_create("v", 0, primary=1)
+        assert d.group_bytes == {-1: [0, 0, 0]}
+
+    def test_entity_charged_once_written(self):
+        d = make_grouped_dir()
+        e = d.get_or_create("v", 0, primary=2)
+        assert d.group_bytes[0] == [0, 0, 0]
+        e.record_write(0.0, 0, 100, "x")
+        assert d.group_bytes[0] == [100, 0, 0]
+        e.replica_bytes_accounted = 100
+        assert d.group_bytes[0] == [100, 100, 0]
+        e.record_write(0.0, 1, 60, "y")  # shrinking rewrite
+        assert d.group_bytes[0] == [60, 100, 0]
+        assert d.group_bytes.get(1, [0, 0, 0]) == [0, 0, 0]
+
+    def test_primary_move_across_groups_recharges(self):
+        d = make_grouped_dir()
+        e = d.get_or_create("v", 0, primary=2)
+        e.record_write(0.0, 0, 100, "x")
+        e.replica_bytes_accounted = 100
+        e.state = ResilienceState.REPLICATED
+        e.primary = 3
+        assert d.group_bytes[0] == [0, 0, 0]
+        assert d.group_bytes[1] == [100, 100, 0]
+        assert d.replicated_by_group[0] == set()
+        assert d.replicated_by_group[1] == {("v", 0)}
+
+    def test_replicated_by_group_follows_state(self):
+        d = make_grouped_dir()
+        e = d.get_or_create("v", 0, primary=4)
+        assert not d.replicated_by_group.get(0)
+        e.state = ResilienceState.REPLICATED
+        assert d.replicated_by_group[0] == {("v", 0)}
+        e.state = ResilienceState.PENDING_STRIPE
+        assert d.replicated_by_group[0] == set()
+
+    def test_replicated_refs_track_lowest_counter(self):
+        d = make_grouped_dir()
+        a = d.get_or_create("v", 0, primary=0)
+        b = d.get_or_create("v", 1, primary=2)
+        c = d.get_or_create("v", 2, primary=1)
+        assert d.min_replicated_ref(0) is None
+        for e in (a, b, c):
+            e.record_write(0.0, 0, 10, "x")
+        a.record_write(0.0, 1, 10, "y")
+        a.state = b.state = c.state = ResilienceState.REPLICATED
+        assert d.replicated_refs[0] == {2: 1, 1: 1}
+        assert d.min_replicated_ref(0) == 1
+        b.record_write(0.0, 1, 10, "y")
+        b.record_write(0.0, 2, 10, "z")
+        assert d.min_replicated_ref(0) == 2
+        c.reset_ref_counter()
+        assert d.min_replicated_ref(1) == 0
+        assert d.min_replicated_ref() == 0  # global scope
+        a.state = ResilienceState.PENDING_STRIPE
+        assert d.replicated_refs[0] == {3: 1}
+        b.primary = 3  # moves to group 1 with its counter
+        assert d.replicated_refs[0] == {}
+        assert d.replicated_refs[1] == {0: 1, 3: 1}
+
+    def test_stripe_parity_charged_to_its_group(self):
+        d = make_grouped_dir()
+        s = StripeInfo(0, 2, 1, [("v", 0), ("v", 1)], {}, [1, 3, 5], [4, 4], 40)
+        d.register_stripe(s)
+        assert s.group_id == 1  # derived from the first shard server
+        assert d.group_bytes[1] == [0, 0, 40]
+        s.vacate_slot(0)  # vacancy does not change the parity footprint
+        assert d.group_bytes[1] == [0, 0, 40]
+        d.drop_stripe(0)
+        assert d.group_bytes[1] == [0, 0, 0]
+
+    def test_byte_updates_count_as_touches(self):
+        d = make_grouped_dir()
+        e = d.get_or_create("v", 0, primary=0)
+        before = d.op_stats["entity_touches"]
+        e.record_write(0.0, 0, 10, "x")  # version, ref_counter, nbytes
+        assert d.op_stats["entity_touches"] == before + 3
