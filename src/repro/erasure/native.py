@@ -7,8 +7,8 @@ invocation (~a second) happens once per container, not per process.
 
 Everything here is **best effort**: no compiler, a failed compile, a
 missing dlopen, or ``REPRO_GF_NATIVE=0`` all simply leave
-:data:`NATIVE` as ``None`` and the pure-numpy kernels in
-:mod:`repro.erasure.gf256` carry the data plane (at a few hundred MB/s
+:data:`NATIVE` as ``None`` and the numpy ``wide`` kernel of
+:mod:`repro.erasure.gf256` carries the data plane (at a few hundred MB/s
 instead of multiple GB/s).  The native kernel is bit-exact with the
 reference kernel and holds no global state, so concurrent calls from
 parallel codec workers need no locking.
@@ -70,7 +70,8 @@ class NativeKernel:
 
     @staticmethod
     def row_ptrs(rows, offset: int = 0):
-        """Pointer array over uint8 row buffers (ndarray or memoryview)."""
+        """Pointer array over unit-stride uint8 ndarray rows, ``offset``
+        bytes into each — the one place row pointers are built."""
         arr = (ctypes.c_void_p * len(rows))()
         for i, row in enumerate(rows):
             arr[i] = row.ctypes.data + offset

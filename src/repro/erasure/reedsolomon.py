@@ -157,14 +157,6 @@ class RSCode:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _as_shard_matrix(shards: Sequence[np.ndarray]) -> np.ndarray:
-        mats = [np.ascontiguousarray(s, dtype=np.uint8).ravel() for s in shards]
-        lengths = {s.size for s in mats}
-        if len(lengths) != 1:
-            raise ValueError(f"shards must be equal length, got {sorted(lengths)}")
-        return np.stack(mats, axis=0)
-
-    @staticmethod
     def _as_rows(shards: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
         """Normalize shards to contiguous uint8 rows *without* stacking."""
         rows = [np.ascontiguousarray(s, dtype=np.uint8).ravel() for s in shards]
@@ -193,40 +185,21 @@ class RSCode:
     ) -> tuple[list[Callable[[], None]], Callable[[], list[np.ndarray]]]:
         """Build the kernel thunks for ``mat . rows`` plus a result thunk.
 
-        With the native kernel loaded, rows are passed by pointer and the
-        parity rows come back as independent arrays — no (k, L) stacking
-        copy ever happens.  The numpy fallback stacks once and splits the
-        same way.  Either way the column split is byte-exact: each task
-        writes a disjoint column range of the output.
+        Rows go to the kernel in place — no (k, L) stacking copy ever
+        happens — and the output rows come back as row views of one
+        (r, L) block: one allocation per product, which the allocator
+        recycles from call to call instead of mapping and faulting in
+        fresh pages for every row.  With more than one task each writes a
+        disjoint column range of the output, so the split is byte-exact.
         """
-        r = mat.shape[0]
+        outs = list(np.empty((mat.shape[0], length), dtype=np.uint8))
         n_tasks = self._n_tasks(len(rows) * length) if length else 1
-        if GF256.native_kernel() is not None:
-            outs = [np.empty(length, dtype=np.uint8) for _ in range(r)]
-            if n_tasks <= 1:
-                tasks = [lambda: GF256.matmul_rows(mat, rows, outs, length=length)]
-            else:
-                tasks = [
-                    lambda a=a, b=b: GF256.matmul_rows(
-                        mat, rows, outs, offset=a, length=b - a
-                    )
-                    for a, b in self._bounds(length, n_tasks)
-                ]
-            return tasks, lambda: outs
-        stacked = (
-            rows[0].reshape(1, -1) if len(rows) == 1 else np.stack(rows, axis=0)
-        )
-        out = np.empty((r, length), dtype=np.uint8)
-        if n_tasks <= 1:
-            tasks = [lambda: GF256.matmul_bytes(mat, stacked, out=out)]
-        else:
-            tasks = [
-                lambda a=a, b=b: GF256.matmul_bytes(
-                    mat, stacked[:, a:b], out=out[:, a:b]
-                )
-                for a, b in self._bounds(length, n_tasks)
-            ]
-        return tasks, lambda: [out[i] for i in range(r)]
+        bounds = self._bounds(length, n_tasks) if n_tasks > 1 else [(0, length)]
+        tasks = [
+            lambda a=a, b=b: GF256.matmul_rows(mat, rows, outs, offset=a, length=b - a)
+            for a, b in bounds
+        ]
+        return tasks, lambda: outs
 
     def _run_tasks(self, tasks: Sequence[Callable[[], None]]) -> None:
         pm = self.parallel_map

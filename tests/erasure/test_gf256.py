@@ -188,11 +188,13 @@ class TestOutParameter:
         GF256.matmul_bytes(mat, shards, out=out, accumulate=True)
         assert (out == (base ^ GF256.matmul_bytes(mat, shards))).all()
 
-    def test_addmul_no_steady_state_allocation(self):
+    def test_addmul_no_steady_state_allocation(self, monkeypatch):
         # The scratch pool must be reused: two same-size calls, one buffer.
         # The pool is per-thread (threading.local), so read this thread's.
+        # The gather path is the one that uses scratch, so mask native.
         from repro.erasure import gf256
 
+        monkeypatch.setattr(GF256, "_NATIVE", None)
         acc = np.zeros(4096, dtype=np.uint8)
         buf = np.ones(4096, dtype=np.uint8)
         GF256.addmul_bytes(acc, 7, buf)
@@ -202,9 +204,10 @@ class TestOutParameter:
         assert snapshot == after
 
 
-# Shapes chosen to cross kernel tails: odd/even row counts (the pairs
-# kernel fuses coefficient columns two at a time), empty dims, single
-# bytes, and payloads spanning the small/large autotune classes.
+# Shapes chosen to cross kernel tails: odd/even column counts (the wide
+# kernel fuses coefficient columns two at a time), one and two groups of
+# four packed rows, empty dims, single bytes, and payloads crossing
+# WIDE_CHUNK column boundaries (16385 = one chunk plus an odd column).
 KERNEL_SHAPES = [
     (1, 1, 1),
     (2, 3, 5),
@@ -213,6 +216,7 @@ KERNEL_SHAPES = [
     (3, 4, 0),
     (0, 3, 16),
     (2, 5, 40000),
+    (5, 5, 16385),
 ]
 
 
@@ -239,20 +243,86 @@ class TestKernelEquivalence:
         with pytest.raises(ValueError):
             GF256.set_kernel("simd9000")
 
-    def test_set_kernel_restores_autotuned_selection(self):
-        before = GF256.selected_kernels()
-        GF256.set_kernel("reference")
+    @pytest.mark.parametrize("name", GF256.available_kernels())
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_matmul_rows_column_range_matches_reference(self, name, accumulate):
+        rng = np.random.default_rng(40 + accumulate)
+        r, k, length, offset, width = 5, 3, 5000, 1029, 2051
+        mat = rng.integers(0, 256, (r, k), dtype=np.uint8)
+        shard_rows = [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(k)]
+        out_rows = [rng.integers(0, 256, length, dtype=np.uint8) for _ in range(r)]
+        want = [row.copy() for row in out_rows]
+        cols = slice(offset, offset + width)
+        if not accumulate:
+            for row in want:
+                row[cols] = 0
+        GF256._kernel_reference(
+            mat, [row[cols] for row in shard_rows], [row[cols] for row in want]
+        )
+        GF256.set_kernel(name)
         try:
-            assert set(GF256.selected_kernels().values()) == {"reference"}
+            GF256.matmul_rows(
+                mat, shard_rows, out_rows, offset=offset, length=width,
+                accumulate=accumulate,
+            )
         finally:
             GF256.set_kernel(None)
-        assert GF256.selected_kernels() == before
+        for got, exp in zip(out_rows, want):
+            assert np.array_equal(got, exp)  # columns outside the range untouched
 
-    def test_autotuned_selection_is_valid(self):
-        sel = GF256.selected_kernels()
-        assert set(sel) == {"small", "large"}
-        for name in sel.values():
-            assert name in GF256.available_kernels()
+
+class TestKernelSelection:
+    """Which kernel runs, read back from the per-kernel pass counters."""
+
+    SIZES = (64, 1 << 16)
+
+    def _counts(self) -> dict[str, int]:
+        rng = np.random.default_rng(50)
+        mat = rng.integers(0, 256, (3, 6), dtype=np.uint8)
+        GF256.reset_kernel_stats()
+        for length in self.SIZES:
+            GF256.matmul_bytes(mat, rng.integers(0, 256, (6, length), dtype=np.uint8))
+        stats = GF256.KERNEL_STATS.snapshot()
+        return {name: stats.get(name, 0) for name in ("reference", "wide", "native")}
+
+    @pytest.mark.skipif(GF256.native_kernel() is None, reason="native kernel unavailable")
+    def test_native_runs_every_width_when_loaded(self):
+        assert self._counts() == {"reference": 0, "wide": 0, "native": 2}
+        assert GF256.selected_kernels() == {"matrix": "native", "payload": "native"}
+
+    def test_numpy_fallback_splits_at_tiny_cutoff(self, monkeypatch):
+        monkeypatch.setattr(GF256, "_NATIVE", None)
+        assert GF256.available_kernels() == ("reference", "wide")
+        assert self._counts() == {"reference": 1, "wide": 1, "native": 0}
+        assert GF256.selected_kernels() == {"matrix": "reference", "payload": "wide"}
+
+    @pytest.mark.parametrize("name", GF256.available_kernels())
+    def test_forced_kernel_runs_every_width(self, name):
+        GF256.set_kernel(name)
+        try:
+            counts = self._counts()
+            assert GF256.selected_kernels() == {"matrix": name, "payload": name}
+        finally:
+            GF256.set_kernel(None)
+        assert counts == {n: (2 if n == name else 0) for n in counts}
+
+    def test_import_runs_no_kernel_pass(self):
+        import os
+        import subprocess
+        import sys
+
+        # Any kernel pass, counted or not, grows this thread's scratch pool.
+        script = (
+            "from repro.erasure import gf256\n"
+            "assert gf256.GF256.KERNEL_STATS.snapshot() == {'matmul_calls': 0}\n"
+            "assert not hasattr(gf256._SCRATCH, 'pool')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestKernelStats:
@@ -321,6 +391,9 @@ class _SpyKernel:
         self.calls += 1
         return self.inner.matmul_ptrs(*args)
 
+    def __getattr__(self, name):  # row_ptrs and the tables
+        return getattr(self.inner, name)
+
 
 class TestAddmulBytes:
     @pytest.fixture
@@ -377,7 +450,7 @@ class TestAddmulBytes:
             "        GF256.addmul_bytes(acc, c, buf)\n"
             "        assert np.array_equal(acc, want), (c, n)\n"
         )
-        env = dict(os.environ, REPRO_GF_NATIVE="0", REPRO_GF_AUTOTUNE="0")
+        env = dict(os.environ, REPRO_GF_NATIVE="0")
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True,

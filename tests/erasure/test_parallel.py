@@ -3,7 +3,7 @@
 ``RSCode.parallel_map`` splits large kernel products into column-range
 tasks.  Columns of a GF(2^8) matrix product are independent, so any
 split must reproduce the serial bytes exactly — for every registered
-kernel, the native kernel (when loaded), every worker count, and the
+kernel (native included when loaded), every worker count, and the
 awkward shapes (zero-length shards, lengths that are not multiples of
 k or of the 4 KiB split alignment).
 """
@@ -20,14 +20,6 @@ from repro.erasure.gf256 import GF256
 from repro.erasure.reedsolomon import RSCode, StripeCodec
 
 COMMON = dict(deadline=None, derandomize=True)
-
-# Kernels to exercise: every pure-numpy kernel (with the native kernel
-# masked off so the stacked path runs) plus the native pointer path.
-KERNEL_CASES = [
-    (name, False) for name in GF256.available_kernels() if name != "native"
-]
-if GF256.native_kernel() is not None:
-    KERNEL_CASES.append(("native", True))
 
 
 def _make_parallel(code: RSCode, pool_map, max_tasks: int = 8) -> None:
@@ -58,17 +50,13 @@ def _random_stripes(rng, k: int, n_stripes: int) -> list[list[np.ndarray]]:
     return stripes
 
 
-@pytest.mark.parametrize("kernel,use_native", KERNEL_CASES)
+@pytest.mark.parametrize("kernel", GF256.available_kernels())
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_parallel_encode_batch_matches_serial(
-    kernel, use_native, workers, monkeypatch
-):
+def test_parallel_encode_batch_matches_serial(kernel, workers):
     rng = np.random.default_rng(workers * 101 + len(kernel))
     k, m = 4, 2
     stripes = _random_stripes(rng, k, 5)
-    if not use_native:
-        monkeypatch.setattr(GF256, "_NATIVE", None)
-        GF256.set_kernel(kernel)
+    GF256.set_kernel(kernel)
     try:
         serial = RSCode(k, m).encode_batch(stripes)
         par_code = RSCode(k, m)
@@ -82,11 +70,9 @@ def test_parallel_encode_batch_matches_serial(
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("kernel,use_native", KERNEL_CASES)
+@pytest.mark.parametrize("kernel", GF256.available_kernels())
 @pytest.mark.parametrize("workers", [1, 2, 5, 8])
-def test_parallel_decode_batch_matches_serial(
-    kernel, use_native, workers, monkeypatch
-):
+def test_parallel_decode_batch_matches_serial(kernel, workers):
     rng = np.random.default_rng(workers * 211 + len(kernel))
     k, m = 4, 2
     jobs = []
@@ -96,9 +82,7 @@ def test_parallel_decode_batch_matches_serial(
         shards = stripe + RSCode(k, m).encode(stripe)
         lost = rng.choice(k + m, size=int(rng.integers(0, m + 1)), replace=False)
         jobs.append({i: shards[i] for i in range(k + m) if i not in lost})
-    if not use_native:
-        monkeypatch.setattr(GF256, "_NATIVE", None)
-        GF256.set_kernel(kernel)
+    GF256.set_kernel(kernel)
     try:
         serial = RSCode(k, m).decode_batch(jobs)
         par_code = RSCode(k, m)
