@@ -183,25 +183,24 @@ class StagingRuntime:
             yield from self.busy(owner, self.costs.metadata_op_s, "metadata")
         self.metrics.count("metadata_updates")
 
-    def compute(self, fn: Callable[[], object], category: str = "codec") -> Generator:
-        """Run host-side numeric work (``yield from`` this at a yield point).
+    def compute(self, fn: Callable[[], object]) -> Generator:
+        """Run a GF(2^8) codec pass (``yield from`` this at a yield point).
 
         On the simulator this is a plain call — the generator completes
         without yielding, so the event sequence is identical to calling
         ``fn()`` inline and golden traces are unaffected.  On the live
         backend ``compute_offload`` is installed and the work runs on a
-        worker thread, keeping GF(2^8) kernel passes off the event loop.
-        Only legal where the calling flow may yield; atomic (no-yield)
-        mutation sections must keep their numeric work inline.  The codec
-        layer (decode-matrix cache, coding batch, scratch pools) is
-        thread-safe, so offloaded passes run fully in parallel.
-
-        ``category`` names the attribution bucket the live backend
-        charges the offload wait to ("codec" for kernel passes, "digest"
-        for payload hashing); the simulator ignores it.
+        worker thread, keeping kernel passes off the event loop; the wait
+        is charged to the ``codec`` attribution category.  Only legal
+        where the calling flow may yield; atomic (no-yield) mutation
+        sections must keep their numeric work inline.  The codec layer
+        (decode-matrix cache, coding batch, scratch pools) is thread-safe,
+        so offloaded passes run fully in parallel.  Payload digests do not
+        come through here: a 64 KiB blake2b costs less than the worker-pool
+        round trip, so the staging flows hash inline.
         """
         if self.compute_offload is not None:
-            result = yield self.compute_offload(fn, category)
+            result = yield self.compute_offload(fn)
             return result
         return fn()
 

@@ -274,11 +274,8 @@ class RSCode:
         self._run_tasks(tasks)
         for result, idxs, length in finishers:
             parity = result()
-            for pos, idx in enumerate(idxs):
-                out[idx] = [
-                    np.ascontiguousarray(p[pos * length : (pos + 1) * length])
-                    for p in parity
-                ]
+            for idx, rows in zip(idxs, self._split_stripes(parity, len(idxs), length)):
+                out[idx] = rows
         return out  # type: ignore[return-value]
 
     def decode_batch(
@@ -341,12 +338,27 @@ class RSCode:
         self._run_tasks(tasks)
         for result, members, length in finishers:
             data = result()
-            for pos, (idx, _) in enumerate(members):
-                out[idx] = [
-                    np.ascontiguousarray(d[pos * length : (pos + 1) * length])
-                    for d in data
-                ]
+            for (idx, _), rows in zip(members, self._split_stripes(data, len(members), length)):
+                out[idx] = rows
         return out  # type: ignore[return-value]
+
+    @staticmethod
+    def _split_stripes(
+        rows: list[np.ndarray], n_stripes: int, length: int
+    ) -> list[list[np.ndarray]]:
+        """Cut a length group's fused product back into per-stripe shards.
+
+        A lone stripe keeps the product's rows as they are.  Otherwise each
+        stripe's rows are copied into a block of their own: a view of the
+        fused product would keep every other stripe's bytes alive for as
+        long as one stored shard is referenced.
+        """
+        if n_stripes == 1:
+            return [list(rows)]
+        return [
+            list(np.stack([r[pos * length : (pos + 1) * length] for r in rows]))
+            for pos in range(n_stripes)
+        ]
 
     def update_parity(
         self,

@@ -100,8 +100,8 @@ class LiveStagingService:
         reg.gauge("live.loop.lag_last_s", lambda: engine.loop_lag_s)
         reg.gauge("live.loop.lag_max_s", lambda: engine.loop_lag_max_s)
 
-    def _offload_compute(self, fn, category: str = "codec"):
-        return self.engine.offload(fn, charge=category)
+    def _offload_compute(self, fn):
+        return self.engine.offload(fn, charge="codec")
 
     # ------------------------------------------------------------------
     # convenience passthroughs

@@ -161,6 +161,14 @@ class Tracer:
         if self._current is not None:
             self._current.attrs.update(attrs)
 
+    def host_call(self, name: str, fn: Callable[..., Any], *args: Any, category: str = "") -> Any:
+        """Run host-side work ``fn(*args)`` inline and return its result.
+
+        Host compute takes no simulated time, so the simulator records no
+        span for it; the wall-clock tracer overrides this to time it.
+        """
+        return fn(*args)
+
     # ------------------------------------------------------------------
     def traced(
         self,
@@ -253,6 +261,9 @@ class NullTracer:
 
     def annotate(self, **attrs: Any) -> None:
         return None
+
+    def host_call(self, name: str, fn: Callable[..., Any], *args: Any, category: str = "") -> Any:
+        return fn(*args)
 
     def traced(self, name, gen: Generator, category: str = "", parent=None, **attrs) -> Generator:
         return gen

@@ -24,13 +24,14 @@ Per-request latency attribution
 the current request (:meth:`push_attribution`).  :meth:`traced` charges
 every wait a flow performs, classified by what it yielded on
 (``queue_wait`` for zero-delay scheduling, ``transfer`` for paced
-timeouts, ``lock_wait`` for resource grants, ``codec``/``digest`` for
-offloaded compute — events carry a ``charge`` tag where the default
+timeouts, ``lock_wait`` for resource grants, ``codec`` for offloaded
+kernel passes — events carry a ``charge`` tag where the default
 classification is wrong).  Waits are charged exactly once even when
 traced flows nest (the outermost wrapper claims the item for the
 duration of the resume call-stack), so a request's charges are
 non-overlapping segments of its wall time whenever its flows do not
-fan out internally.
+fan out internally.  :meth:`host_call` charges work a flow runs inline
+on the loop thread (``digest`` for payload hashing) by its duration.
 
 Thread discipline: ``begin``/``end``/``instant`` may be called from any
 thread (span-id allocation and the span list are lock-protected; ids
@@ -52,15 +53,16 @@ from repro.obs.tracer import Span, Tracer
 
 __all__ = ["WallSpan", "WallClockTracer", "WAIT_CATEGORIES"]
 
-#: Wait categories :meth:`WallClockTracer.traced` can charge, plus the
-#: handler-level categories the live server adds around a dispatch
-#: (documented in docs/OBSERVABILITY.md).
+#: Flow categories :meth:`WallClockTracer.traced` (waits) and
+#: :meth:`WallClockTracer.host_call` (inline work) can charge; the live
+#: server adds handler-level categories around a dispatch (documented in
+#: docs/OBSERVABILITY.md).
 WAIT_CATEGORIES = (
     "queue_wait",   # zero-delay scheduling through the engine microqueue
     "transfer",     # paced (modeled) wire/storage time
     "lock_wait",    # entity/stripe/NIC resource grants
     "codec",        # offloaded GF(2^8) kernel passes
-    "digest",       # offloaded payload hashing
+    "digest",       # payload hashing, inline on the loop (host_call)
     "offload",      # other worker-pool waits
     "fanout_wait",  # condition events (AllOf/AnyOf)
     "event_wait",   # any other event
@@ -185,6 +187,21 @@ class WallClockTracer(Tracer):
         sink = _SINK.get(None)
         if sink is not None:
             sink[category] = sink.get(category, 0.0) + dt
+
+    def host_call(self, name: str, fn: Callable[..., Any], *args: Any, category: str = "") -> Any:
+        """Run ``fn(*args)`` inline under a span and charge its wall time.
+
+        The span parents under the current scope (the calling flow's
+        span) and its duration goes to ``category`` in the request's
+        attribution sink, so inline work is booked like a wait instead
+        of disappearing into the ``loop_cpu`` residual.
+        """
+        span = self.begin(name, category=category)
+        try:
+            return fn(*args)
+        finally:
+            self.end(span)
+            self.charge(category, span.t1 - span.t0)
 
     @staticmethod
     def wait_category(event: Any) -> str:

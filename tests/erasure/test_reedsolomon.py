@@ -366,6 +366,37 @@ class TestBatchAPIs:
         with pytest.raises(ValueError, match="unrecoverable"):
             code.decode_batch([{0: np.zeros(4, np.uint8)}])
 
+    @staticmethod
+    def _pinned_bytes(arr):
+        """Largest buffer on ``arr``'s ``.base`` chain: what it keeps alive."""
+        pinned = arr.nbytes
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+            pinned = max(pinned, arr.nbytes)
+        return pinned
+
+    def test_batch_results_do_not_pin_the_fused_product(self):
+        """A stored shard must not keep the rest of its batch's product alive."""
+        rng = np.random.default_rng(44)
+        code = RSCode(4, 2)
+        length = 4096
+        # 32 stripes share one length group; the odd length is a lone group.
+        stripes = [make_shards(rng, 4, length) for _ in range(32)] + [make_shards(rng, 4, 100)]
+        encoded = code.encode_batch(stripes)
+        for shards, parity in zip(stripes, encoded):
+            assert all((a == b).all() for a, b in zip(parity, code.encode(shards)))
+            stripe_bytes = code.m * shards[0].size
+            assert max(self._pinned_bytes(p) for p in parity) <= stripe_bytes
+
+        jobs = [
+            {i: s for i, s in enumerate(data + parity) if i not in (0, 2)}
+            for data, parity in zip(stripes, encoded)
+        ]
+        for data, rec in zip(stripes, code.decode_batch(jobs)):
+            assert all((a == b).all() for a, b in zip(rec, data))
+            stripe_bytes = code.k * data[0].size
+            assert max(self._pinned_bytes(d) for d in rec) <= stripe_bytes
+
     def test_encode_objects_batch_matches_per_group(self):
         rng = np.random.default_rng(44)
         sc = StripeCodec(3, 2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -230,12 +231,41 @@ def test_shard_kill_is_contained_and_replacement_rejoins():
             assert stats["alive_servers"] == list(range(8))
 
 
+def wait_until_stopped(pid: int, timeout: float = 10.0) -> None:
+    """Block until every thread of ``pid`` is in state ``T`` (stopped).
+
+    ``kill(SIGSTOP)`` returns once the signal is queued; the group stop
+    takes effect only as each thread of the target next runs, so an
+    event-loop thread can still answer a request for a while after the
+    call.  Where ``/proc`` is unavailable this returns at once.
+    """
+    task_dir = f"/proc/{pid}/task"
+    if not os.path.isdir(task_dir):
+        return
+    deadline = time.monotonic() + timeout
+    while True:
+        states = []
+        for tid in os.listdir(task_dir):
+            try:
+                with open(f"{task_dir}/{tid}/stat") as fh:
+                    states.append(fh.read().rsplit(")", 1)[1].split()[0])
+            except FileNotFoundError:  # thread exited between list and read
+                continue
+        if states and all(state == "T" for state in states):
+            return
+        if time.monotonic() > deadline:
+            raise AssertionError(f"pid {pid} not stopped after {timeout}s: {states}")
+        time.sleep(0.001)
+
+
 def test_frozen_shard_rpc_hits_client_deadline():
     """A hung (SIGSTOPped) shard turns into ``TimeoutError``, not a hang.
 
     Regression pin for the client's per-op deadline: before it, an RPC
     already in flight when the server stopped making progress blocked
-    its caller forever.
+    its caller forever.  The ping is sent only once the whole shard has
+    stopped; otherwise it can be answered in the window before the stop
+    reaches the shard's event-loop thread.
     """
     spec = sharded_spec("replication-only", n_servers=8)
     config = build_config(spec)
@@ -245,6 +275,7 @@ def test_frozen_shard_rpc_hits_client_deadline():
             proc = cluster.processes[1]
             os.kill(proc.pid, signal.SIGSTOP)
             try:
+                wait_until_stopped(proc.pid)
                 with pytest.raises(TimeoutError, match="deadline"):
                     client.shard_client(1).ping()
             finally:

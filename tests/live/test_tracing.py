@@ -97,7 +97,11 @@ class TestLinkedSpanTree:
         tree_names = {s.name for s in tree}
         assert "put" in tree_names
         assert "put.block" in tree_names
-        assert "offload.digest" in tree_names
+        # The payload hash runs inline on the loop: a ``digest`` span
+        # under its block flow, its time charged to the ``digest`` bucket.
+        (digest,) = [s for s in tree if s.name == "digest"]
+        assert by_id[digest.parent_id].name == "put.block"
+        assert dispatch.attrs["breakdown"]["digest"] > 0.0
 
     def test_breakdown_reconciles_with_wall_time(self):
         """Categories are non-negative, sum exactly to e2e, and the

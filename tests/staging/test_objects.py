@@ -38,6 +38,31 @@ class TestPayloadDigest:
         b = np.ones(10, dtype=np.uint8)
         assert payload_digest(a) != payload_digest(b)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a.ravel(),  # contiguous 1-D
+            lambda a: a,  # contiguous n-D
+            lambda a: a[:, ::2],  # strided
+            lambda a: a.T,  # transposed (Fortran-ordered)
+            lambda a: a.ravel()[:0],  # empty
+            lambda a: np.zeros((3, 0), dtype=np.uint8),  # empty n-D
+            lambda a: a.astype(np.int32),  # non-uint8: values cast, as before
+            lambda a: a[0, 0, :4].astype(np.float64),
+        ],
+        ids=["1d", "nd", "strided", "transposed", "empty", "empty-nd", "int32", "float64"],
+    )
+    def test_buffer_hash_matches_tobytes_digest(self, make):
+        """Hashing the array's buffer gives the digest of its ``.tobytes()`` copy."""
+        import hashlib
+
+        a = np.random.default_rng(3).integers(0, 256, size=(4, 6, 5), dtype=np.uint8)
+        data = make(a)
+        old = hashlib.blake2b(
+            np.ascontiguousarray(data, dtype=np.uint8).tobytes(), digest_size=12
+        ).hexdigest()
+        assert payload_digest(data) == old
+
 
 class TestDataObject:
     def test_payload_flattened_to_uint8(self):
